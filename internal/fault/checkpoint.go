@@ -124,9 +124,11 @@ func drawTriggers(cfg Config, goldenDyn int64) []int64 {
 
 // takeSnapshots performs the instrumented golden run: one machine executes
 // the golden prefix once, suspending at each scheduled dyn index to capture
-// an immutable snapshot. Snapshots are shared read-only across workers.
-func takeSnapshots(t Target, mod *ir.Module, cfg Config, disabled map[int]bool, maxDyn int64, snapAt []int64) ([]*vm.Snapshot, error) {
-	mach, err := newMachine(t, mod, maxDyn, cfg.Engine)
+// an immutable snapshot. Snapshots are shared read-only across workers and
+// restore only onto machines of the same mode, so functional selects the
+// mode of the machines that will restore them (see newMachine).
+func takeSnapshots(t Target, mod *ir.Module, cfg Config, disabled map[int]bool, maxDyn int64, snapAt []int64, functional bool) ([]*vm.Snapshot, error) {
+	mach, err := newMachine(t, mod, maxDyn, cfg.Engine, functional)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func FalsePositives(t Target, mod *ir.Module) (*FalsePositiveReport, error) {
 // FalsePositivesEngine is FalsePositives on an explicit execution engine,
 // letting equivalence tests compare check-failure accounting across engines.
 func FalsePositivesEngine(t Target, mod *ir.Module, engine vm.EngineKind) (*FalsePositiveReport, error) {
-	mach, err := newMachine(t, mod, 0, engine)
+	mach, err := newMachine(t, mod, 0, engine, false)
 	if err != nil {
 		return nil, err
 	}

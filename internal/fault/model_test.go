@@ -173,7 +173,7 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 
-	gm, err := newMachine(target, mod, 0, cfg.Engine)
+	gm, err := newMachine(target, mod, 0, cfg.Engine, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	falselyGolden := 0
 	for off := int64(10); off < model.stride; off += 10 {
 		at := model.trigger + model.stride + off
-		snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, []int64{at})
+		snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, []int64{at}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach, err := newMachine(target, mod, maxDyn, cfg.Engine)
+		mach, err := newMachine(target, mod, maxDyn, cfg.Engine, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,18 +224,18 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	// identical with and without the snapshot ladder, because finishTrial
 	// drops the ladder for re-arming models.
 	snapAt := []int64{goldenDyn / 4, goldenDyn / 2, 3 * goldenDyn / 4}
-	snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, snapAt)
+	snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, snapAt, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := newMachine(target, mod, maxDyn, cfg.Engine)
+	m1, err := newMachine(target, mod, maxDyn, cfg.Engine, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
 	tr1, to1 := finishTrial(m1, p1, target, cfg, golden, nil, time.Time{}, snaps)
 
-	m2, err := newMachine(target, mod, maxDyn, cfg.Engine)
+	m2, err := newMachine(target, mod, maxDyn, cfg.Engine, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func RunWithRecovery(ctx context.Context, t Target, mod *ir.Module, technique st
 		return nil, fmt.Errorf("fault: fault model %q requires the fast engine (suspend-injected models park the machine via SuspendAtDyn, which only the fast engine implements)", model.Name())
 	}
 
-	goldenMach, err := newMachine(t, mod, 0, cfg.Engine)
+	goldenMach, err := newMachine(t, mod, 0, cfg.Engine, false)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,8 @@ func RunWithRecovery(ctx context.Context, t Target, mod *ir.Module, technique st
 		Trials: cfg.Trials, GoldenCycles: goldenRes.Cycles,
 	}
 	maxDyn := goldenRes.Dyn*cfg.WatchdogFactor + 100_000
-	mach, err := newMachine(t, mod, maxDyn, cfg.Engine)
+	// Recovery trials stay timed: MeanCycles sums every trial's cycles.
+	mach, err := newMachine(t, mod, maxDyn, cfg.Engine, false)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func RunWithRecovery(ctx context.Context, t Target, mod *ir.Module, technique st
 	snapAt := checkpointSchedule(cfg, goldenRes.Dyn)
 	var snaps []*vm.Snapshot
 	if len(snapAt) > 0 {
-		if snaps, err = takeSnapshots(t, mod, cfg, disabled, maxDyn, snapAt); err != nil {
+		if snaps, err = takeSnapshots(t, mod, cfg, disabled, maxDyn, snapAt, false); err != nil {
 			return nil, err
 		}
 	}

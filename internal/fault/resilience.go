@@ -314,7 +314,7 @@ func (ws *workerState) ensureMachine() error {
 	if ws.mach != nil {
 		return nil
 	}
-	mach, err := newMachine(ws.c.target, ws.c.mod, ws.c.maxDyn, ws.c.cfg.Engine)
+	mach, err := newMachine(ws.c.target, ws.c.mod, ws.c.maxDyn, ws.c.cfg.Engine, true)
 	if err != nil {
 		return err
 	}
@@ -330,7 +330,7 @@ func (ws *workerState) ensureBatch() (*vm.BatchMachine, error) {
 	if ws.batch != nil {
 		return ws.batch, nil
 	}
-	carrier, err := newMachine(ws.c.target, ws.c.mod, ws.c.maxDyn, ws.c.cfg.Engine)
+	carrier, err := newMachine(ws.c.target, ws.c.mod, ws.c.maxDyn, ws.c.cfg.Engine, true)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +445,7 @@ func (c *campaign) runCheckpointed(ctx context.Context, pending []int, workers i
 	var snaps []*vm.Snapshot
 	if len(snapAt) > 0 {
 		var err error
-		snaps, err = takeSnapshots(c.target, c.mod, c.cfg, c.disabled, c.maxDyn, snapAt)
+		snaps, err = takeSnapshots(c.target, c.mod, c.cfg, c.disabled, c.maxDyn, snapAt, true)
 		if err != nil {
 			return err
 		}

@@ -22,6 +22,10 @@ func (d *Data) Hist(uid int) *Histogram { return d.ByUID[uid] }
 type Collector struct {
 	bins int
 	data *Data
+	// dense indexes the histograms of data.ByUID by UID. UIDs come from
+	// Module.NewUID and are dense, so Record's per-value lookup is a slice
+	// index; the map is written only the first time a UID is seen.
+	dense []*Histogram
 }
 
 // NewCollector returns a collector building histograms with the given bin
@@ -54,16 +58,35 @@ func (c *Collector) Record(in *ir.Instr, bits uint64) {
 			ok = false
 		}
 	}
-	h := c.data.ByUID[in.UID]
+	var h *Histogram
+	if uid := in.UID; uid >= 0 && uid < len(c.dense) {
+		h = c.dense[uid]
+	}
 	if h == nil {
-		h = NewHistogram(c.bins)
-		c.data.ByUID[in.UID] = h
+		h = c.histFor(in.UID)
 	}
 	if ok {
 		h.Add(v)
 	} else {
 		h.AddUncheckable()
 	}
+}
+
+// histFor is Record's slow path: it creates the UID's histogram on first
+// sight and indexes it in dense.
+func (c *Collector) histFor(uid int) *Histogram {
+	h := c.data.ByUID[uid]
+	if h == nil {
+		h = NewHistogram(c.bins)
+		c.data.ByUID[uid] = h
+	}
+	if uid >= 0 {
+		if uid >= len(c.dense) {
+			c.dense = append(c.dense, make([]*Histogram, uid+1-len(c.dense))...)
+		}
+		c.dense[uid] = h
+	}
+	return h
 }
 
 // int64 range bounds as float64s. maxInt64F is 2^63 exactly; any float

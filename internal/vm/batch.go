@@ -229,6 +229,9 @@ func (m *Machine) RestoreFrom(src *Machine) error {
 	if len(src.susp) == 0 {
 		return fmt.Errorf("vm: source machine is not suspended (Run must return a %v trap first)", TrapSuspended)
 	}
+	if src.timed != m.timed {
+		return fmt.Errorf("vm: %s source machine cannot restore onto a %s machine", modeName(src.timed), modeName(m.timed))
+	}
 	if len(src.mem) != len(m.mem) ||
 		len(src.timing.cacheTags) != len(m.timing.cacheTags) ||
 		len(src.timing.predictor) != len(m.timing.predictor) {
@@ -260,17 +263,24 @@ func (m *Machine) RestoreFrom(src *Machine) error {
 	for i, rc := range src.regionCounts {
 		copy(m.regionCounts[i], rc)
 	}
-	tm, st := m.timing, src.timing
-	tm.cursor, tm.slotUsed, tm.maxDone = st.cursor, st.slotUsed, st.maxDone
-	copy(tm.cacheTags, st.cacheTags)
-	copy(tm.predictor, st.predictor)
+	if m.timed {
+		tm, st := m.timing, src.timing
+		tm.cursor, tm.slotUsed, tm.maxDone = st.cursor, st.slotUsed, st.maxDone
+		copy(tm.cacheTags, st.cacheTags)
+		copy(tm.predictor, st.predictor)
+	}
 
 	for _, l := range src.susp {
 		fr := m.getFrame(l.ef)
 		fr.entrySP = l.fr.entrySP
 		for _, slot := range l.fr.live {
-			fr.regs[slot] = l.fr.regs[slot]
+			fr.bits[slot] = l.fr.bits[slot]
 			fr.defined[slot] = true
+		}
+		if m.timed {
+			for _, slot := range l.fr.live {
+				fr.ready[slot] = l.fr.ready[slot]
+			}
 		}
 		fr.live = append(fr.live[:0], l.fr.live...)
 		m.susp = append(m.susp, suspLevel{ef: l.ef, fr: fr, pc: l.pc})

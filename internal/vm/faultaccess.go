@@ -32,7 +32,7 @@ func (m *Machine) LiveRegCount() int {
 func (m *Machine) LiveReg(i int) (bits uint64, ty ir.Type) {
 	fr := m.susp[0].fr
 	slot := int(fr.live[i])
-	return fr.regs[slot].bits, m.info[fr.fn].slotTypes[slot]
+	return fr.bits[slot], m.info[fr.fn].slotTypes[slot]
 }
 
 // SetLiveReg overwrites the bits of live register i of the innermost
@@ -40,7 +40,7 @@ func (m *Machine) LiveReg(i int) (bits uint64, ty ir.Type) {
 // the same mutation the in-engine injector performs.
 func (m *Machine) SetLiveReg(i int, bits uint64) {
 	fr := m.susp[0].fr
-	fr.regs[int(fr.live[i])].bits = bits
+	fr.bits[fr.live[i]] = bits
 }
 
 // MemUsed is the extent of the architecturally visible memory image: word

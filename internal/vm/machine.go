@@ -32,6 +32,16 @@ type Config struct {
 	MaxDepth   int   // call depth limit
 	Timing     TimingConfig
 	Engine     EngineKind
+	// Functional runs the fast engine without its timing model: no issue
+	// slots, ready times, cache tags or branch predictor, so Result.Cycles
+	// is 0 and snapshots carry no timing state. Every other observable —
+	// Ret, memory, Dyn, traps, check failures, OpCounts, traces and fault
+	// attribution — is bit-identical to a timed run, because timing never
+	// feeds back into execution. Fault-campaign trials run functional;
+	// golden, profiling, recovery and overhead runs stay timed (DESIGN.md,
+	// "Timed and functional runs"). The tree interpreter is the timed
+	// reference and rejects it.
+	Functional bool
 }
 
 // DefaultConfig returns the configuration used by all experiments.
@@ -136,7 +146,7 @@ type RunOptions struct {
 type Result struct {
 	Ret        uint64
 	Dyn        int64 // dynamic instructions executed
-	Cycles     int64 // timing-model cycles
+	Cycles     int64 // timing-model cycles; 0 on a functional machine
 	Trap       *Trap // nil when the program ran to completion
 	CheckFails int64 // only populated with RunOptions.CountChecks
 	// PerCheckFails maps CheckID -> fail count (CountChecks mode only).
@@ -174,7 +184,8 @@ type Machine struct {
 
 	inputs map[string][]uint64 // host-bound globals, re-applied on Reset
 
-	timing *timing
+	timing *timing // functional machines keep a zero timing with no tables
+	timed  bool    // !cfg.Functional, the loop-invariant mode of every run
 	info   map[*ir.Func]*funcInfo
 	main   *ir.Func
 
@@ -218,14 +229,21 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	if len(main.Params) != 0 {
 		return nil, fmt.Errorf("vm: main must take no parameters")
 	}
+	if cfg.Functional && cfg.Engine != EngineFast {
+		return nil, fmt.Errorf("vm: functional runs require the fast engine")
+	}
 	m := &Machine{
 		mod:        mod,
 		cfg:        cfg,
 		globalBase: make(map[string]uint64),
 		inputs:     make(map[string][]uint64),
-		timing:     newTiming(cfg.Timing),
+		timing:     &timing{},
+		timed:      !cfg.Functional,
 		info:       make(map[*ir.Func]*funcInfo),
 		main:       main,
+	}
+	if m.timed {
+		m.timing = newTiming(cfg.Timing)
 	}
 	addr := uint64(1)
 	for _, g := range mod.Globals {
