@@ -26,6 +26,23 @@ func ConstInt(v int64) *Const { return &Const{Ty: I64, Bits: uint64(v)} }
 // ConstFloat returns an F64 constant.
 func ConstFloat(v float64) *Const { return &Const{Ty: F64, Bits: math.Float64bits(v)} }
 
+// NaNFirst fixes the NaN that a float addition or multiplication of a and
+// another operand returns: r is the computed result, and when a is a NaN
+// the result is a, quieted, as if a were the hardware's first operand.
+// Without it the result is not a function of the operands alone: when both
+// operands are NaNs the hardware returns one of them, and which one depends
+// on the operand order the compiler picks for a commutative operation,
+// which can differ between two sites computing the same instruction (the
+// constant folder, the fused and unfused handlers, the two engines) and
+// between builds. No other case depends on the order. Small enough to
+// inline into the VM's dispatch loop.
+func NaNFirst(a, r uint64) uint64 {
+	if a<<1 > 0xFFE0000000000000 { // exponent all ones, mantissa nonzero
+		return a | 1<<51
+	}
+	return r
+}
+
 // Type returns the constant's type.
 func (c *Const) Type() Type { return c.Ty }
 

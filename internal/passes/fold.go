@@ -176,11 +176,11 @@ func foldConst(in *ir.Instr, c0, c1 *ir.Const) ir.Value {
 		}
 		switch in.Op {
 		case ir.OpAdd:
-			return ir.ConstFloat(a + b)
+			return &ir.Const{Ty: ir.F64, Bits: ir.NaNFirst(c0.Bits, math.Float64bits(a+b))}
 		case ir.OpSub:
 			return ir.ConstFloat(a - b)
 		case ir.OpMul:
-			return ir.ConstFloat(a * b)
+			return &ir.Const{Ty: ir.F64, Bits: ir.NaNFirst(c0.Bits, math.Float64bits(a*b))}
 		case ir.OpDiv:
 			return ir.ConstFloat(a / b)
 		case ir.OpNeg:

@@ -216,3 +216,27 @@ func TestFoldPreservesFloatIdentityHazards(t *testing.T) {
 		t.Fatal("float x+0.0 was folded (unsound for -0.0)")
 	}
 }
+
+// TestFoldFloatNaNIsFirstOperand folds an addition and a multiplication of
+// two NaN constants with different payloads and signs: each must fold to
+// the first operand's NaN, quieted, the result the VM computes at run time
+// (ir.NaNFirst), whatever operand order the compiler picked for a + b.
+func TestFoldFloatNaNIsFirstOperand(t *testing.T) {
+	const (
+		nanA = 0x7FF0000000000001 // signaling, payload 1
+		nanB = 0xFFF8000000000002 // quiet, negative, payload 2
+	)
+	for _, op := range []ir.Op{ir.OpAdd, ir.OpMul} {
+		for _, c := range []struct{ first, second, want uint64 }{
+			{nanA, nanB, nanA | 1<<51},
+			{nanB, nanA, nanB},
+		} {
+			f := foldFunc(t, func(b *ir.Builder) ir.Value {
+				return b.Bin(op, &ir.Const{Ty: ir.F64, Bits: c.first}, &ir.Const{Ty: ir.F64, Bits: c.second})
+			})
+			if got := storedConst(t, f).Bits; got != c.want {
+				t.Errorf("%v %#x, %#x folded to %#x, want %#x", op, c.first, c.second, got, c.want)
+			}
+		}
+	}
+}
