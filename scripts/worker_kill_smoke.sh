@@ -10,7 +10,9 @@ cd "$(dirname "$0")/.."
 
 BENCH=${BENCH:-g721dec}
 MODE=${MODE:-dup}
-TRIALS=${TRIALS:-4000}
+# Enough trials that each shard outlives a few heartbeats, so the kill
+# lands while a shard is mid-flight.
+TRIALS=${TRIALS:-16000}
 ADDR=127.0.0.1:7177
 
 DIR=$(mktemp -d)
